@@ -63,6 +63,7 @@ cov_floor repro/internal/sim 85
 cov_floor repro/internal/serve 80
 cov_floor repro/internal/snap 85
 cov_floor repro/internal/harness 85
+cov_floor repro/internal/pipeline 90
 cov_floor repro/internal/results 75
 cov_floor repro/internal/charz 85
 cov_floor repro/internal/charz/probe 85
@@ -93,9 +94,10 @@ go run ./cmd/bpchar characterize -w 'syn:lag:k=6:eps=0.02' >/dev/null
 go run ./cmd/bpchar generate -rate 0.5 -cond 0.3 -depth 6 >/dev/null
 
 echo "== bench smoke =="
-# One iteration of each feed benchmark: catches a broken or panicking
-# fast path without paying for a real measurement.
+# One iteration of each feed and timing-model benchmark: catches a
+# broken or panicking fast path without paying for a real measurement.
 go test -run='^$' -bench BenchmarkFeed -benchtime 1x .
+go test -run='^$' -bench 'BenchmarkRun' -benchtime 1x ./internal/pipeline
 
 echo "== bpbench regression gate =="
 # Quick grid against the committed baseline; any metric more than 25%

@@ -353,6 +353,15 @@ func bestRate(eventsPerOp int, minTime time.Duration, op func()) Result {
 
 // benchAllocs measures steady-state heap allocations per event on the
 // batch fast path. The specialized kinds must measure 0.
+//
+// runtime.MemStats.Mallocs counts the whole process, including the
+// runtime's own bookkeeping: restarting the world after ReadMemStats
+// may wake an idle P and start an OS thread for it (runtime.newm),
+// which allocates inside the window. As in testing.AllocsPerRun, the
+// window runs with GOMAXPROCS pinned to 1, so there is no idle P to
+// wake, and one throwaway GC and ReadMemStats cycle lets the runtime
+// settle before the count starts (with only one of the two, the race
+// build still counted a stray allocation in about 1 run in 20).
 func benchAllocs(spec sim.Spec, window []trace.Event) (Result, error) {
 	cfg, err := feedConfig(spec, true)
 	if err != nil {
@@ -360,8 +369,11 @@ func benchAllocs(spec sim.Spec, window []trace.Event) (Result, error) {
 	}
 	e := core.NewEvaluator(cfg)
 	e.FeedBatch(window) // warm-up
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const rounds = 20
 	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < rounds; i++ {

@@ -227,8 +227,17 @@ func NewEvaluator(cfg EvalConfig) *Evaluator {
 	p.Reset()
 	e := &Evaluator{cfg: cfg, p: p, pgu: NewPGU(cfg.PGU, p)}
 	e.obs, _ = p.(bpred.HistoryObserver)
+	if e.pgu != nil {
+		// A selected define waits PGUDelay steps and at most one define
+		// fetches per step, so PGUDelay+1 entries hold the whole queue
+		// (delays beyond the presize cap grow it once, on first use).
+		e.pending = make([]pendingBit, 0, min(cfg.PGUDelay+1, maxPendingPresize))
+	}
 	return e
 }
+
+// maxPendingPresize caps NewEvaluator's presized PGU queue.
+const maxPendingPresize = 64
 
 // flush applies pending predicate-history bits whose delay has elapsed.
 //

@@ -61,16 +61,19 @@ func ParsePGUPolicy(s string) (PGUPolicy, error) {
 
 // Selects reports whether the policy inserts this predicate-define event.
 func (p PGUPolicy) Selects(ev *trace.Event) bool {
-	if ev.Kind != trace.KindPredDef {
-		return false
-	}
+	return ev.Kind == trace.KindPredDef && p.SelectsDefine(ev.FeedsBranch, ev.FeedsRegionBranch)
+}
+
+// SelectsDefine reports whether the policy inserts a compare with the
+// given static classification (see trace.Guards). It is the one
+// definition of selection: the trace evaluator reaches it through
+// Selects, and the timing model calls it per executed compare.
+func (p PGUPolicy) SelectsDefine(feedsBranch, feedsRegionBranch bool) bool {
 	switch p {
-	case PGUOff:
-		return false
 	case PGURegionGuards:
-		return ev.FeedsRegionBranch
+		return feedsRegionBranch
 	case PGUBranchGuards:
-		return ev.FeedsBranch
+		return feedsBranch
 	case PGUAll:
 		return true
 	}
@@ -78,30 +81,16 @@ func (p PGUPolicy) Selects(ev *trace.Event) bool {
 }
 
 // PGU binds a policy to a predictor whose history accepts outside bits.
-// It is the hardware-facing form of the mechanism: the pipeline model calls
-// ObserveDefine as compares resolve.
 type PGU struct {
 	Policy PGUPolicy
-	obs    bpred.HistoryObserver
 }
 
 // NewPGU returns a PGU feeding the predictor's global history, or nil if
 // the predictor has no global history to feed (e.g. bimodal or local): the
 // mechanism degrades to a no-op exactly as it would in hardware.
 func NewPGU(policy PGUPolicy, p bpred.Predictor) *PGU {
-	obs, ok := p.(bpred.HistoryObserver)
-	if !ok || policy == PGUOff {
+	if _, ok := p.(bpred.HistoryObserver); !ok || policy == PGUOff {
 		return nil
 	}
-	return &PGU{Policy: policy, obs: obs}
-}
-
-// ObserveDefine inserts a resolved predicate-define outcome into the
-// history if the policy selects it.
-func (g *PGU) ObserveDefine(ev *trace.Event) bool {
-	if g == nil || !g.Policy.Selects(ev) || !ev.Executed {
-		return false
-	}
-	g.obs.ObserveBit(ev.Value)
-	return true
+	return &PGU{Policy: policy}
 }

@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/bpred"
 	"repro/internal/core"
 	"repro/internal/pipeline"
 	"repro/internal/prog"
@@ -309,26 +310,35 @@ func (sp *Spec) run(ctx context.Context, s *Suite, cfg Config) ([]*stats.Table, 
 		seen[v.Key] = true
 	}
 
+	// A job is one trace-driven variant, or every pipeline variant of
+	// one artifact: those share a single emulation (pipeline.RunMany).
 	type job struct {
-		e *Entry
-		v Variant
+		e  *Entry
+		vs []Variant
 	}
-	jobs := make([]job, 0, len(entries)*len(variants))
+	groups := groupVariants(variants)
+	jobs := make([]job, 0, len(entries)*len(groups))
 	for _, e := range entries {
-		for _, v := range variants {
-			jobs = append(jobs, job{e, v})
+		for _, vs := range groups {
+			jobs = append(jobs, job{e, vs})
 		}
 	}
-	cells, err := sim.Map(ctx, jobs, 0, func(_ context.Context, j job) (Cell, error) {
-		return evalCell(j.e, j.v, cfg)
+	results, err := sim.Map(ctx, jobs, 0, func(_ context.Context, j job) ([]Cell, error) {
+		if j.vs[0].Pipeline {
+			return evalPipeline(j.e, j.vs, cfg)
+		}
+		c, err := evalCell(j.e, j.vs[0])
+		return []Cell{c}, err
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	g := &grid{spec: sp, entries: entries, cells: make(map[cellKey]Cell, len(cells))}
-	for _, c := range cells {
-		g.cells[cellKey{c.Entry.Name, c.Variant.Key}] = c
+	g := &grid{spec: sp, entries: entries, cells: make(map[cellKey]Cell, len(entries)*len(variants))}
+	for _, cells := range results {
+		for _, c := range cells {
+			g.cells[cellKey{c.Entry.Name, c.Variant.Key}] = c
+		}
 	}
 
 	activeGroups := make(map[string]bool, len(variants))
@@ -449,22 +459,53 @@ func colNames(cols []Col) []string {
 	return names
 }
 
-// evalCell evaluates one grid point: a fresh predictor from the
-// variant's spec, run over the selected artifact of the workload.
-func evalCell(e *Entry, v Variant, cfg Config) (Cell, error) {
+// groupVariants partitions the variants into evaluation jobs, in
+// declaration order: each trace-driven variant alone, and the pipeline
+// variants of each TraceKind together at the position of the first.
+func groupVariants(variants []Variant) [][]Variant {
+	var groups [][]Variant
+	pipeGroup := make(map[TraceKind]int)
+	for _, v := range variants {
+		if !v.Pipeline {
+			groups = append(groups, []Variant{v})
+			continue
+		}
+		i, ok := pipeGroup[v.Trace]
+		if !ok {
+			i = len(groups)
+			pipeGroup[v.Trace] = i
+			groups = append(groups, nil)
+		}
+		groups[i] = append(groups[i], v)
+	}
+	return groups
+}
+
+// newPredictor builds a fresh predictor from the variant's spec.
+func newPredictor(v Variant) (bpred.Predictor, error) {
 	pred := v.Pred
 	if pred.Kind == "" {
 		pred = defSpec
 	}
 	p, err := pred.New()
 	if err != nil {
-		return Cell{}, fmt.Errorf("variant %q: %w", v.Key, err)
+		return nil, fmt.Errorf("variant %q: %w", v.Key, err)
 	}
+	return p, nil
+}
 
-	if v.Pipeline {
-		prg, err := programFor(e, v.Trace)
+// evalPipeline evaluates pipeline variants that share an artifact: one
+// emulation of the program drives a timing model per variant.
+func evalPipeline(e *Entry, vs []Variant, cfg Config) ([]Cell, error) {
+	prg, err := programFor(e, vs[0].Trace)
+	if err != nil {
+		return nil, err
+	}
+	pcs := make([]pipeline.Config, len(vs))
+	for i, v := range vs {
+		p, err := newPredictor(v)
 		if err != nil {
-			return Cell{}, err
+			return nil, err
 		}
 		pc := pipeline.DefaultConfig(p)
 		pc.UseSFPF = v.UseSFPF
@@ -473,13 +514,26 @@ func evalCell(e *Entry, v Variant, cfg Config) (Cell, error) {
 		pc.IssueWidth = v.IssueWidth
 		pc.RASDepth = v.RASDepth
 		pc.NoRAS = v.NoRAS
-		st, err := pipeline.Run(prg, pc, cfg.Limit)
-		if err != nil {
-			return Cell{}, fmt.Errorf("variant %q on %s: %w", v.Key, e.Name, err)
-		}
-		return Cell{Entry: e, Variant: v, P: st}, nil
+		pcs[i] = pc
 	}
+	sts, err := pipeline.RunMany(prg, pcs, cfg.Limit)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline on %s (%s): %w", e.Name, vs[0].Trace, err)
+	}
+	cells := make([]Cell, len(vs))
+	for i, v := range vs {
+		cells[i] = Cell{Entry: e, Variant: v, P: sts[i]}
+	}
+	return cells, nil
+}
 
+// evalCell evaluates one trace-driven grid point: a fresh predictor from
+// the variant's spec, run over the selected trace of the workload.
+func evalCell(e *Entry, v Variant) (Cell, error) {
+	p, err := newPredictor(v)
+	if err != nil {
+		return Cell{}, err
+	}
 	tr, err := traceFor(e, v.Trace)
 	if err != nil {
 		return Cell{}, err

@@ -1,16 +1,20 @@
-// Package pipeline implements an in-order, single-issue timing model for
-// P64 with a parameterised branch-misprediction penalty, operand
-// scoreboarding, nullified-slot costs for predicated instructions, and a
-// fetch-stage integration of the paper's mechanisms: the squash false path
-// filter consults a predicate scoreboard fed by in-flight defines, and the
-// predicate global update mechanism inserts define outcomes into the
-// predictor's global history as they resolve.
+// Package pipeline implements an in-order timing model for P64 with a
+// configurable issue width, a parameterised branch-misprediction
+// penalty, operand scoreboarding, nullified-slot costs for predicated
+// instructions, and a fetch-stage integration of the paper's mechanisms:
+// the squash false path filter consults a predicate scoreboard fed by
+// in-flight defines, and the predicate global update mechanism inserts
+// define outcomes into the predictor's global history as they resolve.
 //
 // The model is deliberately first-order: it charges one issue slot per
 // fetched instruction (nullified or not), data-dependence stalls from a
 // latency table, and a flat flush penalty per direction misprediction.
 // Branch targets are assumed perfectly predicted (direction-only study,
 // as in the paper).
+//
+// Functional execution does not depend on timing, so RunMany emulates a
+// program once and times it on several machine configurations in
+// lockstep; Run is RunMany of one.
 package pipeline
 
 import (
@@ -21,6 +25,7 @@ import (
 	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/prog"
+	"repro/internal/trace"
 )
 
 // Config parameterises one timing run.
@@ -145,234 +150,390 @@ func latency(op isa.Op) uint64 {
 	}
 }
 
+// Class flags of a decoded instruction.
+const (
+	// fCondBranch: a guarded br/brl or a cloop, the direction-prediction
+	// events (the same set trace.Collect records).
+	fCondBranch uint8 = 1 << iota
+	// fImpliesTaken: br/brl, taken iff the guard is true (a cloop with a
+	// true guard still tests its counter).
+	fImpliesTaken
+	fRegion  // region-based branch
+	fPredDef // may write predicate registers
+	fDest    // writes a general register other than r0
+)
+
+// decoded is one static instruction reduced to what the timing model
+// reads for each of its dynamic instances. The operand lists are fixed
+// arrays, so the timing loop builds no slices.
+type decoded struct {
+	lat   uint64
+	src   [2]isa.Reg  // general-register sources; the first nsrc are valid
+	pdst  [2]isa.PReg // predicate destinations other than p0; npdst valid
+	nsrc  uint8
+	npdst uint8
+	dst   isa.Reg // destination register when fDest is set
+	qp    isa.PReg
+	op    isa.Op
+	flags uint8
+	// feeds and feedsRegion classify a compare for PGU selection
+	// (trace.Guards).
+	feeds, feedsRegion bool
+}
+
+// decode builds the program's static instruction table.
+func decode(p *prog.Program) []decoded {
+	guards := trace.ClassifyGuards(p)
+	dec := make([]decoded, len(p.Insts))
+	for i := range p.Insts {
+		in, d := &p.Insts[i], &dec[i]
+		d.lat = latency(in.Op)
+		d.qp, d.op = in.QP, in.Op
+		for _, r := range in.RegSources() {
+			d.src[d.nsrc] = r
+			d.nsrc++
+		}
+		for _, pd := range in.PredDests() {
+			if pd != isa.P0 {
+				d.pdst[d.npdst] = pd
+				d.npdst++
+			}
+		}
+		if r, ok := in.RegDest(); ok && r != isa.R0 {
+			d.dst = r
+			d.flags |= fDest
+		}
+		if (in.Op == isa.OpBr || in.Op == isa.OpBrl) && in.QP != isa.P0 {
+			d.flags |= fCondBranch | fImpliesTaken
+		}
+		if in.Op == isa.OpCloop {
+			d.flags |= fCondBranch
+		}
+		if in.Region {
+			d.flags |= fRegion
+		}
+		if in.IsPredDef() {
+			d.flags |= fPredDef
+		}
+		if in.Op == isa.OpCmp {
+			d.feeds, d.feedsRegion = guards.Feeds(in)
+		}
+	}
+	return dec
+}
+
+// pendingResolve is an issued predicate define whose values reach the
+// fetch-stage structures at cycle at.
 type pendingResolve struct {
-	at    uint64 // cycle at which the values become fetch-visible
-	preds []isa.PReg
-	vals  []bool
+	at    uint64
+	preds [2]isa.PReg
+	vals  [2]bool
+	n     uint8 // valid entries of preds/vals
 	// pgu carries the define outcome bit when the policy selects it.
 	pgu    bool
 	pguBit bool
 }
 
-// Run executes the program on the timing model.
-func Run(p *prog.Program, cfg Config, limit uint64) (Stats, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Predictor == nil {
-		return Stats{}, fmt.Errorf("pipeline: no predictor configured")
-	}
+// Outcomes of the fetch-stage filter for a conditional branch.
+const (
+	notFiltered uint8 = iota
+	filteredFalse
+	filteredTrue
+)
+
+// fetched is what the fetch and issue stages decided for one instruction.
+type fetched struct {
+	issue     uint64 // cycle the instruction issued
+	predicted bool
+	filter    uint8
+}
+
+// timer is one machine configuration's timing state: everything that
+// depends on the config, fed the shared functional execution one
+// instruction at a time.
+type timer struct {
+	cfg Config
+	obs bpred.HistoryObserver
+	// pgu is set when core.NewPGU enables the mechanism: the policy
+	// inserts anything and the predictor's history accepts outside bits.
+	pgu  bool
+	sfpf core.SFPF
+
+	regReady [isa.NumRegs]uint64
+	cycle    uint64
+	slot     int   // instructions issued in the current cycle
+	ras      []int // return-address stack, capacity cfg.RASDepth
+
+	// pending is a FIFO of issued defines in issue order: entries before
+	// head have been applied.
+	pending []pendingResolve
+	head    int
+
+	st Stats
+}
+
+func (t *timer) init(cfg Config) {
+	t.cfg = cfg
 	cfg.Predictor.Reset()
-	m, err := emu.New(p)
-	if err != nil {
-		return Stats{}, err
+	t.obs, _ = cfg.Predictor.(bpred.HistoryObserver)
+	t.pgu = core.NewPGU(cfg.PGU, cfg.Predictor) != nil
+	t.sfpf.Reset()
+	t.ras = make([]int, 0, cfg.RASDepth)
+	t.pending = make([]pendingResolve, 0, 16)
+}
+
+// fetch applies the resolves visible by the current cycle, runs the
+// fetch-stage predictor and filter for the instruction at pc, and issues
+// it once its source operands are ready. It depends only on the
+// timer's own state, never on how the instruction executes.
+func (t *timer) fetch(d *decoded, pc int) fetched {
+	for t.head < len(t.pending) && t.pending[t.head].at <= t.cycle {
+		pr := &t.pending[t.head]
+		t.head++
+		for i := uint8(0); i < pr.n; i++ {
+			t.sfpf.Resolve(pr.preds[i], pr.vals[i])
+		}
+		if pr.pgu {
+			t.obs.ObserveBit(pr.pguBit)
+			t.st.InsertedBits++
+		}
+	}
+	if t.head == len(t.pending) {
+		t.pending, t.head = t.pending[:0], 0
 	}
 
-	// Static classification mirroring trace.Collect: which predicate
-	// registers guard (region) branches, so the PGU policy can select
-	// defines the same way a compiler-marked encoding would.
-	var branchGuards, regionGuards uint64
-	for i := range p.Insts {
-		in := &p.Insts[i]
-		if in.IsBranch() && in.QP != isa.P0 {
-			branchGuards |= 1 << in.QP
-			if in.Region {
-				regionGuards |= 1 << in.QP
+	var f fetched
+	if d.flags&fCondBranch != 0 {
+		t.st.Branches++
+		if d.flags&fRegion != 0 {
+			t.st.RegionBranches++
+		}
+		known, val := t.sfpf.Lookup(d.qp)
+		switch {
+		case !t.cfg.UseSFPF || d.qp == isa.P0 || !known:
+			f.predicted = t.cfg.Predictor.Predict(uint64(pc))
+		case !val:
+			f.filter = filteredFalse
+		case t.cfg.FilterTrue && d.flags&fImpliesTaken != 0:
+			f.predicted, f.filter = true, filteredTrue
+		default:
+			f.predicted = t.cfg.Predictor.Predict(uint64(pc))
+		}
+	}
+	if d.npdst > 0 {
+		t.sfpf.FetchDef(d.pdst[:d.npdst]...)
+	}
+
+	// Issue: stall until source operands are ready, then take one of the
+	// cycle's issue slots.
+	ready := t.cycle
+	for i := uint8(0); i < d.nsrc; i++ {
+		if r := t.regReady[d.src[i]]; r > ready {
+			ready = r
+		}
+	}
+	if ready > t.cycle {
+		t.st.Stalls += ready - t.cycle
+		t.cycle = ready
+		t.slot = 0
+	}
+	f.issue = t.cycle
+	t.slot++
+	if t.slot >= t.cfg.IssueWidth {
+		t.cycle++
+		t.slot = 0
+	}
+	return f
+}
+
+// retire charges the executed instruction: result latency, the define's
+// resolve, branch resolution against the fetch-time prediction, and the
+// return-address stack. vals holds the post-execute values of d.pdst.
+func (t *timer) retire(d *decoded, pc int, f fetched, si *emu.StepInfo, vals [2]bool) {
+	t.st.Insts++
+	if !si.GuardTrue {
+		t.st.Nullified++
+	}
+	if d.flags&fDest != 0 && si.GuardTrue {
+		t.regReady[d.dst] = f.issue + d.lat
+	}
+
+	// Schedule predicate resolution for the fetch-stage structures.
+	if d.flags&fPredDef != 0 {
+		pr := pendingResolve{at: f.issue + t.cfg.PredResolveLatency, preds: d.pdst, vals: vals, n: d.npdst}
+		if d.op == isa.OpCmp && si.GuardTrue && t.pgu && t.cfg.PGU.SelectsDefine(d.feeds, d.feedsRegion) {
+			pr.pgu, pr.pguBit = true, si.CmpValue
+		}
+		if pr.n > 0 || pr.pgu {
+			t.push(pr)
+		}
+	}
+
+	// Resolve the branch.
+	if d.flags&fCondBranch != 0 {
+		switch f.filter {
+		case filteredFalse:
+			t.st.Filtered++
+			if si.Taken {
+				t.st.FilterErrors++
+			}
+			if t.cfg.TrainFiltered {
+				t.cfg.Predictor.Update(uint64(pc), si.Taken)
+			}
+		case filteredTrue:
+			t.st.FilteredTrue++
+			if !si.Taken {
+				t.st.FilterErrors++
+			}
+			if t.cfg.TrainFiltered {
+				t.cfg.Predictor.Update(uint64(pc), si.Taken)
+			}
+		default:
+			if f.predicted != si.Taken {
+				t.st.Mispredicts++
+				if d.flags&fRegion != 0 {
+					t.st.RegionMispredicts++
+				}
+				t.cycle += t.cfg.MispredictPenalty
+				t.slot = 0
+			}
+			t.cfg.Predictor.Update(uint64(pc), si.Taken)
+		}
+	}
+	// Return-address stack: calls push their return point; indirect
+	// branches pop a predicted target and pay the flush penalty when it
+	// is wrong (or when the stack is empty/disabled).
+	if si.GuardTrue {
+		switch d.op {
+		case isa.OpBrl:
+			if t.cfg.RASDepth > 0 {
+				if len(t.ras) == t.cfg.RASDepth {
+					copy(t.ras, t.ras[1:])
+					t.ras = t.ras[:len(t.ras)-1]
+				}
+				t.ras = append(t.ras, pc+1)
+			}
+		case isa.OpBrr:
+			t.st.IndirectBranches++
+			predicted := -1
+			if n := len(t.ras); n > 0 {
+				predicted = t.ras[n-1]
+				t.ras = t.ras[:n-1]
+			}
+			if predicted != si.NextPC {
+				t.st.RASMisses++
+				t.cycle += t.cfg.MispredictPenalty
+				t.slot = 0
 			}
 		}
 	}
 
-	var st Stats
-	sfpf := core.NewSFPF()
-	obs, _ := cfg.Predictor.(bpred.HistoryObserver)
+	// A taken branch ends its issue group: the redirected fetch starts a
+	// new cycle.
+	if si.Taken && t.slot != 0 {
+		t.cycle++
+		t.slot = 0
+	}
+}
 
-	var regReady [isa.NumRegs]uint64
-	var cycle uint64
-	slot := 0 // instructions issued in the current cycle
-	width := cfg.IssueWidth
-	var ras []int // return-address stack (bounded by cfg.RASDepth)
-	var pending []pendingResolve
+// push appends a define to the resolve queue. When the backing array is
+// full and at least half of it is applied entries, the live tail moves
+// to the front instead of growing the array, so a queue that never
+// fully drains stays bounded by the number of defines in flight.
+func (t *timer) push(pr pendingResolve) {
+	if len(t.pending) == cap(t.pending) && t.head >= len(t.pending)/2 {
+		n := copy(t.pending, t.pending[t.head:])
+		t.pending, t.head = t.pending[:n], 0
+	}
+	t.pending = append(t.pending, pr)
+}
+
+// finish closes the last issue group and returns the run's stats.
+func (t *timer) finish(exitCode int64) Stats {
+	if t.slot != 0 {
+		t.cycle++
+	}
+	t.st.Cycles = t.cycle
+	t.st.ExitCode = exitCode
+	return t.st
+}
+
+// Run executes the program on the timing model: RunMany with one config.
+func Run(p *prog.Program, cfg Config, limit uint64) (Stats, error) {
+	sts, err := RunMany(p, []Config{cfg}, limit)
+	if sts == nil {
+		return Stats{}, err
+	}
+	return sts[0], err
+}
+
+// RunMany executes the program once and times that one execution on a
+// machine per config, in lockstep. The program is decoded once into a
+// static table; each dynamic instruction is stepped on the emulator once
+// and handed to every config's timer, which owns that config's
+// predictor, filter scoreboard, register-ready table, return-address
+// stack and resolve queue. Functional execution does not depend on
+// timing, so stats[i] equals what a run with cfgs[i] alone yields. The
+// configs must not share a Predictor.
+//
+// If the run stops early — the step limit or an emulation fault — the
+// partial stats of every config are returned with the error (Cycles is
+// set only by a completed run).
+func RunMany(p *prog.Program, cfgs []Config, limit uint64) ([]Stats, error) {
+	timers := make([]timer, len(cfgs))
+	for i := range cfgs {
+		cfg := cfgs[i].withDefaults()
+		if cfg.Predictor == nil {
+			return nil, fmt.Errorf("pipeline: config %d: no predictor configured", i)
+		}
+		for j := 0; j < i; j++ {
+			if cfg.Predictor == timers[j].cfg.Predictor {
+				return nil, fmt.Errorf("pipeline: configs %d and %d share a predictor", j, i)
+			}
+		}
+		timers[i].init(cfg)
+	}
+	m, err := emu.New(p)
+	if err != nil {
+		return nil, err
+	}
+	dec := decode(p)
+	partial := func() []Stats {
+		out := make([]Stats, len(timers))
+		for i := range timers {
+			out[i] = timers[i].st
+		}
+		return out
+	}
 
 	for !m.Halted {
 		if limit > 0 && m.Steps >= limit {
-			return st, fmt.Errorf("pipeline: %w (%d steps in %s)", emu.ErrLimit, m.Steps, p.Name)
+			return partial(), fmt.Errorf("pipeline: %w (%d steps in %s)", emu.ErrLimit, m.Steps, p.Name)
 		}
-
-		// Apply resolves that became visible by the current fetch cycle.
-		for len(pending) > 0 && pending[0].at <= cycle {
-			pr := pending[0]
-			pending = pending[1:]
-			for i := range pr.preds {
-				sfpf.Resolve(pr.preds[i], pr.vals[i])
-			}
-			if pr.pgu && obs != nil {
-				obs.ObserveBit(pr.pguBit)
-				st.InsertedBits++
-			}
-		}
-
-		idx := m.PC
-		in := &p.Insts[idx]
-
-		// Fetch-stage bookkeeping before functional execution.
-		isCondBranch := (in.Op == isa.OpBr || in.Op == isa.OpBrl) && in.QP != isa.P0 ||
-			in.Op == isa.OpCloop
-		guardImpliesTaken := in.Op != isa.OpCloop
-		var predicted bool
-		var filtered, filteredTrue, usePredictor bool
-		if isCondBranch {
-			st.Branches++
-			if in.Region {
-				st.RegionBranches++
-			}
-			if known, val := sfpf.Lookup(in.QP); cfg.UseSFPF && in.QP != isa.P0 && known {
-				switch {
-				case !val:
-					predicted, filtered = false, true
-				case cfg.FilterTrue && guardImpliesTaken:
-					predicted, filteredTrue = true, true
-				default:
-					usePredictor = true
-				}
-			} else {
-				usePredictor = true
-			}
-			if usePredictor {
-				predicted = cfg.Predictor.Predict(uint64(idx))
-			}
-		}
-		if in.IsPredDef() {
-			sfpf.FetchDef(in.PredDests()...)
-		}
-
-		// Issue: stall until source operands are ready, then take one of
-		// the cycle's issue slots.
-		ready := cycle
-		for _, r := range in.RegSources() {
-			if regReady[r] > ready {
-				ready = regReady[r]
-			}
-		}
-		if ready > cycle {
-			st.Stalls += ready - cycle
-			cycle = ready
-			slot = 0
-		}
-		issue := cycle
-		slot++
-		if slot >= width {
-			cycle++
-			slot = 0
-		}
-
+		pc := m.PC
 		si, err := m.Step()
 		if err != nil {
-			return st, err
-		}
-		st.Insts++
-		if !si.GuardTrue {
-			st.Nullified++
-		}
-		if d, ok := in.RegDest(); ok && d != isa.R0 && si.GuardTrue {
-			regReady[d] = issue + latency(in.Op)
-		}
-
-		// Schedule predicate resolution for the fetch-stage structures.
-		if in.IsPredDef() {
-			pr := pendingResolve{at: issue + cfg.PredResolveLatency}
-			for _, pd := range in.PredDests() {
-				if pd == isa.P0 {
-					continue
-				}
-				pr.preds = append(pr.preds, pd)
-				pr.vals = append(pr.vals, m.Preds[pd])
-			}
-			if in.Op == isa.OpCmp && si.GuardTrue && cfg.PGU != core.PGUOff && obs != nil {
-				mask := uint64(1)<<in.PD1 | uint64(1)<<in.PD2
-				selected := false
-				switch cfg.PGU {
-				case core.PGUAll:
-					selected = true
-				case core.PGUBranchGuards:
-					selected = branchGuards&mask != 0
-				case core.PGURegionGuards:
-					selected = regionGuards&mask != 0
-				}
-				if selected {
-					pr.pgu, pr.pguBit = true, si.CmpValue
+			// The faulting instruction was fetched and issued, not retired.
+			if pc >= 0 && pc < len(dec) {
+				for i := range timers {
+					timers[i].fetch(&dec[pc], pc)
 				}
 			}
-			pending = append(pending, pr)
+			return partial(), err
 		}
-
-		// Resolve the branch.
-		if isCondBranch {
-			switch {
-			case filtered:
-				st.Filtered++
-				if si.Taken {
-					st.FilterErrors++
-				}
-				if cfg.TrainFiltered {
-					cfg.Predictor.Update(uint64(idx), si.Taken)
-				}
-			case filteredTrue:
-				st.FilteredTrue++
-				if !si.Taken {
-					st.FilterErrors++
-				}
-				if cfg.TrainFiltered {
-					cfg.Predictor.Update(uint64(idx), si.Taken)
-				}
-			default:
-				if predicted != si.Taken {
-					st.Mispredicts++
-					if in.Region {
-						st.RegionMispredicts++
-					}
-					cycle += cfg.MispredictPenalty
-					slot = 0
-				}
-				cfg.Predictor.Update(uint64(idx), si.Taken)
-			}
+		d := &dec[pc]
+		var vals [2]bool
+		for i := uint8(0); i < d.npdst; i++ {
+			vals[i] = m.Preds[d.pdst[i]]
 		}
-		// Return-address stack: calls push their return point; indirect
-		// branches pop a predicted target and pay the flush penalty when
-		// it is wrong (or when the stack is empty/disabled).
-		if si.GuardTrue {
-			switch in.Op {
-			case isa.OpBrl:
-				if cfg.RASDepth > 0 {
-					if len(ras) == cfg.RASDepth {
-						copy(ras, ras[1:])
-						ras = ras[:len(ras)-1]
-					}
-					ras = append(ras, idx+1)
-				}
-			case isa.OpBrr:
-				st.IndirectBranches++
-				predicted := -1
-				if len(ras) > 0 {
-					predicted = ras[len(ras)-1]
-					ras = ras[:len(ras)-1]
-				}
-				if predicted != si.NextPC {
-					st.RASMisses++
-					cycle += cfg.MispredictPenalty
-					slot = 0
-				}
-			}
-		}
-
-		// A taken branch ends its issue group: the redirected fetch starts
-		// a new cycle.
-		if si.Taken && slot != 0 {
-			cycle++
-			slot = 0
+		for i := range timers {
+			t := &timers[i]
+			t.retire(d, pc, t.fetch(d, pc), &si, vals)
 		}
 	}
-	if slot != 0 {
-		cycle++
+	out := make([]Stats, len(timers))
+	for i := range timers {
+		out[i] = timers[i].finish(m.ExitCode)
 	}
-	st.Cycles = cycle
-	st.ExitCode = m.ExitCode
-	return st, nil
+	return out, nil
 }

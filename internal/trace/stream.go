@@ -32,28 +32,15 @@ type emuReader struct {
 	err   error
 	done  bool
 
-	// Static classification: which predicate registers guard branches and
-	// region-based branches, and hence which compares feed them. Predicate
-	// register reuse makes this conservative-approximate, as a hardware or
-	// compiler-table implementation would be.
-	branchGuards uint64
-	regionGuards uint64
+	// guards classifies which compares feed branch guards.
+	guards Guards
 
 	lastDef [isa.NumPRegs]uint64
 	counts  Counts
 }
 
 func newEmuReader(p *prog.Program, limit uint64) *emuReader {
-	r := &emuReader{p: p, limit: limit}
-	for i := range p.Insts {
-		in := &p.Insts[i]
-		if in.IsBranch() && in.QP != isa.P0 {
-			r.branchGuards |= 1 << in.QP
-			if in.Region {
-				r.regionGuards |= 1 << in.QP
-			}
-		}
-	}
+	r := &emuReader{p: p, limit: limit, guards: ClassifyGuards(p)}
 	r.m, r.err = emu.New(p)
 	return r
 }
@@ -80,14 +67,15 @@ func (r *emuReader) Next(ev *Event) bool {
 		emitted := false
 		switch {
 		case in.Op == isa.OpCmp:
+			feeds, feedsRegion := r.guards.Feeds(in)
 			*ev = Event{
 				Kind:              KindPredDef,
 				Step:              step,
 				PC:                uint64(si.Index),
 				Executed:          si.GuardTrue,
 				Value:             si.CmpValue,
-				FeedsBranch:       r.branchGuards&(1<<in.PD1|1<<in.PD2) != 0,
-				FeedsRegionBranch: r.regionGuards&(1<<in.PD1|1<<in.PD2) != 0,
+				FeedsBranch:       feeds,
+				FeedsRegionBranch: feedsRegion,
 			}
 			r.counts.PredDefs++
 			emitted = true

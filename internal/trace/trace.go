@@ -63,18 +63,41 @@ type Trace struct {
 	PredDefs       uint64
 }
 
+// collectChunk is the size, in events, of Collect's staging buffers.
+const collectChunk = 1 << 13
+
 // Collect runs the program to completion and records its event stream.
 // It materializes the same stream Stream produces, for traces that are
 // replayed many times across a predictor sweep.
+//
+// Events are staged in fixed-size chunks, then copied once into
+// a slice of exactly the stream's length. Appending to one growing
+// slice instead copies every event several times over and allocates
+// several times the stream's size.
 func Collect(p *prog.Program, limit uint64) (*Trace, error) {
 	r := newEmuReader(p, limit)
-	tr := &Trace{Name: p.Name}
-	var ev Event
-	for r.Next(&ev) {
-		tr.Events = append(tr.Events, ev)
+	var chunks []*[collectChunk]Event
+	n := collectChunk // events in the last chunk
+	for {
+		if n == collectChunk {
+			chunks = append(chunks, new([collectChunk]Event))
+			n = 0
+		}
+		if !r.Next(&chunks[len(chunks)-1][n]) {
+			break
+		}
+		n++
 	}
 	if err := r.Err(); err != nil {
 		return nil, err
+	}
+	tr := &Trace{Name: p.Name}
+	if total := (len(chunks)-1)*collectChunk + n; total > 0 {
+		tr.Events = make([]Event, 0, total)
+		for _, c := range chunks[:len(chunks)-1] {
+			tr.Events = append(tr.Events, c[:]...)
+		}
+		tr.Events = append(tr.Events, chunks[len(chunks)-1][:n]...)
 	}
 	c := r.Counts()
 	tr.Insts = c.Insts
@@ -83,4 +106,35 @@ func Collect(p *prog.Program, limit uint64) (*Trace, error) {
 	tr.RegionBranches = c.RegionBranches
 	tr.PredDefs = c.PredDefs
 	return tr, nil
+}
+
+// Guards is a program's static guard classification: which predicate
+// registers guard conditional branches, and which guard region-based
+// branches. A compare feeds a branch when one of its destinations is
+// such a guard. Predicate register reuse makes this
+// conservative-approximate, as a hardware or compiler-table
+// implementation would be. The trace's FeedsBranch/FeedsRegionBranch
+// fields and the timing model's PGU selection both come from it.
+type Guards struct{ branch, region uint64 }
+
+// ClassifyGuards scans p for guarded branches.
+func ClassifyGuards(p *prog.Program) Guards {
+	var g Guards
+	for i := range p.Insts {
+		in := &p.Insts[i]
+		if in.IsBranch() && in.QP != isa.P0 {
+			g.branch |= 1 << in.QP
+			if in.Region {
+				g.region |= 1 << in.QP
+			}
+		}
+	}
+	return g
+}
+
+// Feeds reports whether a compare writing in's destination predicates
+// feeds some branch guard, and some region-based branch guard.
+func (g Guards) Feeds(in *isa.Inst) (branch, region bool) {
+	mask := uint64(1)<<in.PD1 | uint64(1)<<in.PD2
+	return g.branch&mask != 0, g.region&mask != 0
 }
